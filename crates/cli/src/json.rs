@@ -10,6 +10,14 @@
 //! Integers are kept exact: values without a fraction or exponent that
 //! fit `u64` parse to [`Json::UInt`], so `∞`-sentinel durations
 //! (`u64::MAX / 4`, not representable in `f64`) round-trip losslessly.
+//!
+//! Output goes through one streaming writer (`JsonWriter`), the only
+//! authority on spelling: pretty and compact layout, separators, string
+//! escapes, integer and float forms. [`Json::pretty`] and
+//! [`Json::compact`] are tree walks over it, and the instance emitter
+//! (`InstanceSpec::to_json_string`) writes through it directly without
+//! building a tree. Non-finite floats, which JSON cannot spell, are
+//! written as `null`, so every document the writer produces parses.
 
 use std::fmt;
 
@@ -79,101 +87,17 @@ impl Json {
 
     /// Pretty-prints with two-space indentation (serde_json style).
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
+        let mut w = PrettyWriter::with_capacity(0);
+        w.value(self);
+        w.finish()
     }
 
     /// Renders on one line with no whitespace — the NDJSON form (one
     /// document per line, byte-stable for a fixed value).
     pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null | Json::Bool(_) | Json::UInt(_) | Json::Float(_) | Json::Str(_) => {
-                self.write(out, 0)
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => out.push_str(&u.to_string()),
-            Json::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                    out.push_str(&format!("{x:.1}"));
-                } else {
-                    out.push_str(&x.to_string());
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
+        let mut w = CompactWriter::with_capacity(0);
+        w.value(self);
+        w.finish()
     }
 
     // ---- typed accessors (shape errors name the missing piece) ----
@@ -234,25 +158,275 @@ impl Json {
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// The streaming JSON writer: the one place that spells JSON
+/// (indentation, separators, string escapes, integer and float forms).
+///
+/// Values are written in document order straight into a `String`;
+/// containers are opened and closed explicitly, and an object member is
+/// a [`key`](Self::key) followed by one value. `PRETTY` picks the
+/// layout at compile time — two-space indentation with one member per
+/// line and `": "` after keys, or the one-line NDJSON form — so the hot
+/// path carries no layout branch. [`Json::pretty`] and
+/// [`Json::compact`] walk a tree into it; the instance emitter
+/// (`InstanceSpec::to_json_string`) walks its spec into it without
+/// building a tree.
+///
+/// The small methods are `#[inline(always)]`: at a call site with a
+/// literal key or tag, the escape scan folds away and the copy becomes
+/// a few moves instead of a `memcpy` call.
+pub(crate) struct JsonWriter<const PRETTY: bool> {
+    out: String,
+    /// Containers currently open.
+    depth: usize,
+    /// The next value takes no separator or line break: it is the whole
+    /// document, or follows its key.
+    bare: bool,
+    /// The innermost open container has no member yet.
+    empty: bool,
+}
+
+/// The indented layout ([`Json::pretty`], `rtt gen` instances).
+pub(crate) type PrettyWriter = JsonWriter<true>;
+/// The one-line NDJSON layout ([`Json::compact`], report lines).
+pub(crate) type CompactWriter = JsonWriter<false>;
+
+/// A pretty line break: the newline, then two spaces per open
+/// container (up to seven, in one copy).
+const BREAK: &str = "\n               ";
+
+impl<const PRETTY: bool> JsonWriter<PRETTY> {
+    /// A writer with `capacity` bytes reserved up front.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(capacity),
+            depth: 0,
+            bare: true,
+            empty: true,
+        }
+    }
+
+    /// The finished document.
+    pub(crate) fn finish(self) -> String {
+        debug_assert_eq!(self.depth, 0, "unclosed JSON container");
+        self.out
+    }
+
+    /// Starts a value: the separator from the previous member and the
+    /// pretty line break, unless the value is bare.
+    #[inline(always)]
+    fn member(&mut self) {
+        if std::mem::take(&mut self.bare) {
+            return;
+        }
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        self.line_break();
+    }
+
+    /// A pretty line break at the current depth. Up to seven containers
+    /// deep — every instance document — all of [`BREAK`] is copied and
+    /// the excess cut off: a copy of constant length compiles to a
+    /// couple of moves where one of the exact length is a `memcpy` call.
+    #[inline(always)]
+    fn line_break(&mut self) {
+        if !PRETTY {
+            return;
+        }
+        let width = 1 + 2 * self.depth;
+        if width <= BREAK.len() {
+            let keep = self.out.len() + width;
+            self.out.push_str(BREAK);
+            self.out.truncate(keep);
+        } else {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn open(&mut self, bracket: char) {
+        self.member();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    #[inline(always)]
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.line_break();
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+
+    /// Opens an object.
+    #[inline(always)]
+    pub(crate) fn begin_obj(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object.
+    #[inline(always)]
+    pub(crate) fn end_obj(&mut self) {
+        self.close('}');
+    }
+
+    /// Opens an array.
+    #[inline(always)]
+    pub(crate) fn begin_arr(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    #[inline(always)]
+    pub(crate) fn end_arr(&mut self) {
+        self.close(']');
+    }
+
+    /// Writes an object key; the next value written is its member's.
+    #[inline(always)]
+    pub(crate) fn key(&mut self, k: &str) {
+        self.member();
+        push_escaped(&mut self.out, k);
+        self.out.push_str(if PRETTY { ": " } else { ":" });
+        self.bare = true;
+    }
+
+    /// Writes `null`.
+    pub(crate) fn null(&mut self) {
+        self.member();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` / `false`.
+    pub(crate) fn bool(&mut self, b: bool) {
+        self.member();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes an unsigned integer in decimal, without allocating.
+    #[inline(always)]
+    pub(crate) fn uint(&mut self, mut u: u64) {
+        self.member();
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (u % 10) as u8;
+            u /= 10;
+            if u == 0 {
+                break;
+            }
+        }
+        for &d in &buf[i..] {
+            self.out.push(char::from(d));
+        }
+    }
+
+    /// Writes a float: integral values below `1e15` keep one decimal
+    /// (`3.0`), others use the shortest round-trip form, and NaN / ±∞ —
+    /// which JSON cannot spell — become `null`.
+    pub(crate) fn float(&mut self, x: f64) {
+        use std::fmt::Write;
+        self.member();
+        let written = if !x.is_finite() {
+            self.out.push_str("null");
+            Ok(())
+        } else if x.fract() == 0.0 && x.abs() < 1e15 {
+            write!(self.out, "{x:.1}")
+        } else {
+            write!(self.out, "{x}")
+        };
+        written.expect("writing to a String cannot fail");
+    }
+
+    /// Writes a string, escaped.
+    #[inline(always)]
+    pub(crate) fn str(&mut self, s: &str) {
+        self.member();
+        push_escaped(&mut self.out, s);
+    }
+
+    /// Writes a whole tree.
+    pub(crate) fn value(&mut self, v: &Json) {
+        match v {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::UInt(u) => self.uint(*u),
+            Json::Float(x) => self.float(*x),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => {
+                self.begin_arr();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_arr();
+            }
+            Json::Obj(fields) => {
+                self.begin_obj();
+                for (k, v) in fields {
+                    self.key(k);
+                    self.value(v);
+                }
+                self.end_obj();
+            }
+        }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Whether byte `b` must be escaped inside a JSON string. Bytes of
+/// multi-byte UTF-8 characters are all `>= 0x80`, so they never are.
+#[inline(always)]
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Writes `s` as a JSON string literal. A string with nothing to escape
+/// — every label the generators make — is copied in one piece.
+#[inline(always)]
+fn push_escaped(out: &mut String, s: &str) {
+    if s.bytes().any(needs_escape) {
+        push_escaped_slow(out, s);
+    } else {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
     }
+}
+
+/// [`push_escaped`] for a string that needs escapes: runs between them
+/// are still copied whole, and every split lands on an ASCII byte, so
+/// on a character boundary.
+#[inline(never)]
+fn push_escaped_slow(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -499,6 +673,53 @@ mod tests {
     fn escapes_round_trip() {
         let v = Json::Str("a\"b\\c\nd\te\u{1}".into());
         assert_eq!(Json::parse(&v.pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn non_finite_floats_write_parseable_null() {
+        let nan = Json::Float(f64::NAN).compact();
+        assert_eq!(Json::parse(&nan).unwrap(), Json::Null);
+        let inf = Json::Float(f64::INFINITY).pretty();
+        assert_eq!(Json::parse(&inf).unwrap(), Json::Null);
+        let doc = Json::Obj(vec![("x".into(), Json::Float(f64::NEG_INFINITY))]);
+        assert_eq!(doc.compact(), r#"{"x":null}"#);
+        assert!(Json::parse(&doc.pretty()).is_ok());
+    }
+
+    #[test]
+    fn layouts_spell_containers_and_numbers() {
+        let v = Json::Obj(vec![
+            ("a".into(), Json::Arr(vec![])),
+            ("o".into(), Json::Obj(vec![])),
+            (
+                "n".into(),
+                Json::Arr(vec![Json::UInt(0), Json::UInt(u64::MAX), Json::Float(3.0)]),
+            ),
+            ("f".into(), Json::Float(0.25)),
+        ]);
+        assert_eq!(
+            v.compact(),
+            r#"{"a":[],"o":{},"n":[0,18446744073709551615,3.0],"f":0.25}"#
+        );
+        assert_eq!(
+            v.pretty(),
+            "{\n  \"a\": [],\n  \"o\": {},\n  \"n\": [\n    0,\n    \
+             18446744073709551615,\n    3.0\n  ],\n  \"f\": 0.25\n}"
+        );
+        assert_eq!(Json::Arr(vec![]).pretty(), "[]");
+        // nesting past the single-copy indent depth spells the same way
+        let mut deep = Json::UInt(1);
+        let mut want = String::from("1");
+        for level in (0..12).rev() {
+            deep = Json::Arr(vec![deep]);
+            let (outer, inner) = ("  ".repeat(level), "  ".repeat(level + 1));
+            want = format!("[\n{inner}{want}\n{outer}]");
+        }
+        assert_eq!(deep.pretty(), want);
+        assert_eq!(
+            Json::Str("é\"\\\n\r\t\u{1}\u{1f}/".into()).compact(),
+            r#""é\"\\\n\r\t\u0001\u001f/""#
+        );
     }
 
     #[test]

@@ -17,8 +17,13 @@
 //! `form: "arc"` puts the durations on the edges instead (the `D'` form
 //! gadgets are built in); nodes then need no payload and `nodes` is just
 //! a count.
+//!
+//! [`InstanceSpec::to_json_string`] streams the spec straight into the
+//! JSON layer's writer — the only authority on spelling — and builds no
+//! [`Json`] tree; its bytes equal `to_json().pretty()`.
+//! [`InstanceSpec::to_json`] remains for callers that want a value.
 
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, PrettyWriter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtt_core::{Activity, ArcInstance, Instance, InstanceError, Job, ReducerFamily};
@@ -83,13 +88,12 @@ impl DurationSpec {
             }
             DurationKind::Step => {}
         }
-        let tuples: Vec<(u64, Time)> = d.tuples().iter().map(|t| (t.resource, t.time)).collect();
-        if tuples.len() == 1 && tuples[0].1 == 0 {
-            DurationSpec::Zero
-        } else if tuples.len() == 1 {
-            DurationSpec::Constant { t: tuples[0].1 }
-        } else {
-            DurationSpec::Step { tuples }
+        match d.tuples() {
+            [only] if only.time == 0 => DurationSpec::Zero,
+            [only] => DurationSpec::Constant { t: only.time },
+            tuples => DurationSpec::Step {
+                tuples: tuples.iter().map(|t| (t.resource, t.time)).collect(),
+            },
         }
     }
 }
@@ -238,9 +242,31 @@ impl InstanceSpec {
         }
     }
 
-    /// Serializes to pretty-printed JSON text.
+    /// Serializes to pretty-printed JSON text — the same bytes as
+    /// `to_json().pretty()`, written straight from the spec without an
+    /// intermediate tree.
     pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
+        // a pretty node or edge takes ~80–170 bytes: reserve about that
+        // so a typical document fills its buffer without regrowing
+        let hint = 64 + 88 * self.nodes.len() + 128 * self.edges.len();
+        let mut w = PrettyWriter::with_capacity(hint);
+        w.begin_obj();
+        w.key("form");
+        w.str(self.form.name());
+        w.key("nodes");
+        w.begin_arr();
+        for n in &self.nodes {
+            n.write_json(&mut w);
+        }
+        w.end_arr();
+        w.key("edges");
+        w.begin_arr();
+        for e in &self.edges {
+            e.write_json(&mut w);
+        }
+        w.end_arr();
+        w.end_obj();
+        w.finish()
     }
 
     /// Parses an instance from JSON text.
@@ -356,14 +382,15 @@ pub fn race_forkjoin_spec(
 }
 
 impl Form {
+    fn name(self) -> &'static str {
+        match self {
+            Form::Node => "node",
+            Form::Arc => "arc",
+        }
+    }
+
     fn to_json(self) -> Json {
-        Json::Str(
-            match self {
-                Form::Node => "node",
-                Form::Arc => "arc",
-            }
-            .into(),
-        )
+        Json::Str(self.name().into())
     }
 
     fn from_json(v: &Json) -> Result<Form, SpecError> {
@@ -381,6 +408,15 @@ impl NodeSpec {
             ("label".into(), Json::Str(self.label.clone())),
             ("duration".into(), self.duration.to_json()),
         ])
+    }
+
+    fn write_json(&self, w: &mut PrettyWriter) {
+        w.begin_obj();
+        w.key("label");
+        w.str(&self.label);
+        w.key("duration");
+        self.duration.write_json(w);
+        w.end_obj();
     }
 
     fn from_json(v: &Json) -> Result<NodeSpec, SpecError> {
@@ -409,6 +445,23 @@ impl EdgeSpec {
         Json::Obj(fields)
     }
 
+    fn write_json(&self, w: &mut PrettyWriter) {
+        w.begin_obj();
+        w.key("src");
+        w.uint(self.src as u64);
+        w.key("dst");
+        w.uint(self.dst as u64);
+        if let Some(d) = &self.duration {
+            w.key("duration");
+            d.write_json(w);
+        }
+        if !self.label.is_empty() {
+            w.key("label");
+            w.str(&self.label);
+        }
+        w.end_obj();
+    }
+
     fn from_json(v: &Json) -> Result<EdgeSpec, SpecError> {
         Ok(EdgeSpec {
             src: v.require("src")?.as_usize()?,
@@ -426,32 +479,66 @@ impl EdgeSpec {
 }
 
 impl DurationSpec {
-    fn to_json(&self) -> Json {
-        let kind = |k: &str| ("kind".to_string(), Json::Str(k.into()));
+    /// The wire `kind` tag.
+    fn kind(&self) -> &'static str {
         match self {
-            DurationSpec::Zero => Json::Obj(vec![kind("zero")]),
-            DurationSpec::Constant { t } => {
-                Json::Obj(vec![kind("constant"), ("t".into(), Json::UInt(*t))])
-            }
-            DurationSpec::Step { tuples } => Json::Obj(vec![
-                kind("step"),
-                (
-                    "tuples".into(),
-                    Json::Arr(
-                        tuples
-                            .iter()
-                            .map(|&(r, t)| Json::Arr(vec![Json::UInt(r), Json::UInt(t)]))
-                            .collect(),
-                    ),
+            DurationSpec::Zero => "zero",
+            DurationSpec::Constant { .. } => "constant",
+            DurationSpec::Step { .. } => "step",
+            DurationSpec::Kway { .. } => "kway",
+            DurationSpec::Recbinary { .. } => "recbinary",
+        }
+    }
+
+    fn to_json(&self) -> Json {
+        let mut fields = Vec::with_capacity(2);
+        fields.push(("kind".to_string(), Json::Str(self.kind().into())));
+        match self {
+            DurationSpec::Zero => {}
+            DurationSpec::Constant { t } => fields.push(("t".into(), Json::UInt(*t))),
+            DurationSpec::Step { tuples } => fields.push((
+                "tuples".into(),
+                Json::Arr(
+                    tuples
+                        .iter()
+                        .map(|&(r, t)| Json::Arr(vec![Json::UInt(r), Json::UInt(t)]))
+                        .collect(),
                 ),
-            ]),
-            DurationSpec::Kway { work } => {
-                Json::Obj(vec![kind("kway"), ("work".into(), Json::UInt(*work))])
-            }
-            DurationSpec::Recbinary { work } => {
-                Json::Obj(vec![kind("recbinary"), ("work".into(), Json::UInt(*work))])
+            )),
+            DurationSpec::Kway { work } | DurationSpec::Recbinary { work } => {
+                fields.push(("work".into(), Json::UInt(*work)))
             }
         }
+        Json::Obj(fields)
+    }
+
+    fn write_json(&self, w: &mut PrettyWriter) {
+        w.begin_obj();
+        w.key("kind");
+        w.str(self.kind());
+        match self {
+            DurationSpec::Zero => {}
+            DurationSpec::Constant { t } => {
+                w.key("t");
+                w.uint(*t);
+            }
+            DurationSpec::Step { tuples } => {
+                w.key("tuples");
+                w.begin_arr();
+                for &(r, t) in tuples {
+                    w.begin_arr();
+                    w.uint(r);
+                    w.uint(t);
+                    w.end_arr();
+                }
+                w.end_arr();
+            }
+            DurationSpec::Kway { work } | DurationSpec::Recbinary { work } => {
+                w.key("work");
+                w.uint(*work);
+            }
+        }
+        w.end_obj();
     }
 
     fn from_json(v: &Json) -> Result<DurationSpec, SpecError> {

@@ -2,12 +2,17 @@
 //! `to_json_string` → `from_json_str` → `build` must reproduce the
 //! instance, and `from_arc` ∘ `build` must preserve it, over random
 //! generated DAGs of every `rtt gen` kind and every duration family.
+//!
+//! Differentially, the streamed `to_json_string` must equal the tree
+//! path `to_json().pretty()` byte for byte — on generated instances and
+//! on hand-built specs whose labels need every escape, whose arrays are
+//! empty, and whose edges carry no duration.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rtt_cli::InstanceSpec;
-use rtt_core::ArcInstance;
+use rand::{Rng, SeedableRng};
+use rtt_cli::{DurationSpec, EdgeSpec, Form, InstanceSpec, NodeSpec};
+use rtt_core::{ArcInstance, ReducerFamily};
 use rtt_dag::gen;
 use rtt_duration::Duration;
 
@@ -55,8 +60,177 @@ fn assert_same_instance(a: &ArcInstance, b: &ArcInstance) {
     assert_eq!(a.saturation_budget(), b.saturation_budget());
 }
 
+/// Labels covering every escape the writer spells (`"`, `\\`, `\n`,
+/// `\r`, `\t`, other control bytes), escape-free text, the empty label,
+/// and non-ASCII characters next to escapes.
+const LABELS: &[&str] = &[
+    "",
+    "s",
+    "hot path",
+    "quote\"d",
+    "back\\slash",
+    "line\nbreak",
+    "cr\rlf",
+    "tab\there",
+    "ctl\u{1}\u{1f}",
+    "ünïcödé → ∞ 😀",
+    "\"\\\n\t\u{1}é",
+];
+
+fn random_label(rng: &mut StdRng) -> String {
+    LABELS[rng.random_range(0..LABELS.len())].to_string()
+}
+
+fn random_duration(rng: &mut StdRng) -> DurationSpec {
+    let work = match rng.random_range(0..3) {
+        0 => rng.random_range(0u64..10),
+        1 => rng.random_range(0u64..1_000_000),
+        // the ∞ sentinel and the integer extremes must spell exactly
+        _ => [u64::MAX / 4, u64::MAX, 0][rng.random_range(0..3)],
+    };
+    match rng.random_range(0..5) {
+        0 => DurationSpec::Zero,
+        1 => DurationSpec::Constant { t: work },
+        2 => DurationSpec::Kway { work },
+        3 => DurationSpec::Recbinary { work },
+        _ => DurationSpec::Step {
+            tuples: (0..rng.random_range(0usize..4))
+                .map(|i| (i as u64 * 3, work.saturating_sub(i as u64)))
+                .collect(),
+        },
+    }
+}
+
+/// A hand-built spec of either form: possibly empty `nodes` / `edges`,
+/// edges with and without durations, labels from [`LABELS`]. It need
+/// not build — the emitter serializes whatever the spec holds.
+fn hand_built(seed: u64) -> InstanceSpec {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.random_range(0usize..6);
+    let nodes = (0..n)
+        .map(|_| NodeSpec {
+            label: random_label(&mut rng),
+            duration: random_duration(&mut rng),
+        })
+        .collect();
+    let m = if n == 0 {
+        0
+    } else {
+        rng.random_range(0usize..8)
+    };
+    let edges = (0..m)
+        .map(|_| EdgeSpec {
+            src: rng.random_range(0..n),
+            dst: rng.random_range(0..n),
+            duration: if rng.random_bool(0.5) {
+                None
+            } else {
+                Some(random_duration(&mut rng))
+            },
+            label: random_label(&mut rng),
+        })
+        .collect();
+    let form = if rng.random_bool(0.5) {
+        Form::Node
+    } else {
+        Form::Arc
+    };
+    InstanceSpec { form, nodes, edges }
+}
+
+/// The streamed emitter and the tree printer agree byte for byte, and
+/// the streamed text parses back to a spec that emits it again.
+fn assert_stream_matches_tree(spec: &InstanceSpec) {
+    let streamed = spec.to_json_string();
+    assert_eq!(streamed, spec.to_json().pretty(), "streamed ≠ tree bytes");
+    let parsed = InstanceSpec::from_json_str(&streamed).expect("streamed text parses");
+    assert_eq!(parsed.to_json_string(), streamed, "re-emission differs");
+}
+
+#[test]
+fn stream_matches_tree_on_edge_case_specs() {
+    let empty = |form| InstanceSpec {
+        form,
+        nodes: vec![],
+        edges: vec![],
+    };
+    assert_stream_matches_tree(&empty(Form::Node));
+    assert_stream_matches_tree(&empty(Form::Arc));
+    // every label, on a node and on a duration-less node-form edge
+    let spec = InstanceSpec {
+        form: Form::Node,
+        nodes: LABELS
+            .iter()
+            .map(|l| NodeSpec {
+                label: l.to_string(),
+                duration: DurationSpec::Zero,
+            })
+            .collect(),
+        edges: LABELS
+            .iter()
+            .enumerate()
+            .map(|(i, l)| EdgeSpec {
+                src: i,
+                dst: (i + 1) % LABELS.len(),
+                duration: None,
+                label: l.to_string(),
+            })
+            .collect(),
+    };
+    assert_stream_matches_tree(&spec);
+    let text = spec.to_json_string();
+    assert!(text.contains(r#""quote\"d""#) && text.contains(r#""ctl\u0001\u001f""#));
+    // nodes but no edges
+    let spec = InstanceSpec {
+        edges: vec![],
+        ..spec
+    };
+    assert_stream_matches_tree(&spec);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Streamed emission equals the tree path on every generator kind
+    /// and duration family (`step` included), through `from_arc`.
+    #[test]
+    fn stream_matches_tree_on_generated_instances(
+        kind in 0usize..4,
+        family in 0usize..3,
+        seed in 0u64..10_000,
+        nodes in 1usize..12,
+    ) {
+        let spec = InstanceSpec::from_arc(&generate(kind, family, seed, nodes));
+        prop_assert_eq!(spec.to_json_string(), spec.to_json().pretty());
+    }
+
+    /// The race gen kinds (`race-mm`, `race-forkjoin`) under both
+    /// reducer families.
+    #[test]
+    fn stream_matches_tree_on_race_programs(
+        kway in 0usize..2,
+        n in 1u64..5,
+        seed in 0u64..10_000,
+        width in 1usize..5,
+    ) {
+        let family = if kway == 1 {
+            ReducerFamily::KWay
+        } else {
+            ReducerFamily::RecursiveBinary
+        };
+        let mm = rtt_cli::race_mm_spec(n, family).expect("race-mm builds");
+        prop_assert_eq!(mm.to_json_string(), mm.to_json().pretty());
+        let fj = rtt_cli::race_forkjoin_spec(seed, 2, width, 4, family)
+            .expect("fork-join builds");
+        prop_assert_eq!(fj.to_json_string(), fj.to_json().pretty());
+    }
+
+    /// Hand-built specs of both forms: escaped labels, empty arrays,
+    /// duration-less edges, every duration kind, extreme integers.
+    #[test]
+    fn stream_matches_tree_on_hand_built_specs(seed in 0u64..1_000_000) {
+        assert_stream_matches_tree(&hand_built(seed));
+    }
 
     /// `from_arc` ∘ `build` is the identity on arc instances, through
     /// the JSON text round trip.
