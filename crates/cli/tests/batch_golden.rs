@@ -1,6 +1,7 @@
 //! Golden test for the `rtt batch` wire format: the committed smoke
-//! corpus must produce byte-identical NDJSON at every thread count —
-//! the same check CI runs against the same files.
+//! corpus must produce byte-identical NDJSON at every thread count, and
+//! with the reuse cache at capacity 1 — the same check CI runs against
+//! the same files.
 //!
 //! If a deliberate solver or format change alters the output,
 //! regenerate the golden file with:
@@ -22,9 +23,10 @@ const GOLDEN: &str = concat!(
     "/tests/data/corpus_smoke.golden.ndjson"
 );
 
-fn run_batch(threads: &str) -> String {
+fn run_batch(threads: &str, extra: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_rtt"))
         .args(["batch", CORPUS, "--threads", threads])
+        .args(extra)
         .output()
         .expect("spawn rtt batch");
     assert!(
@@ -40,12 +42,16 @@ fn batch_output_matches_golden_at_every_thread_count() {
     let golden = std::fs::read_to_string(GOLDEN).expect("committed golden output");
     assert!(!golden.trim().is_empty());
     for threads in ["1", "2", "4", "8"] {
-        let got = run_batch(threads);
+        let got = run_batch(threads, &[]);
         assert_eq!(
             got, golden,
             "batch output diverged from the golden file at --threads {threads}; \
              see the module docs for how to regenerate after a deliberate change"
         );
+        // at capacity 1 each new instance or stored result evicts the
+        // previous one, in the prep cache and both reuse tiers alike
+        let tight = run_batch(threads, &["--reuse-cache", "--cache-capacity", "1"]);
+        assert_eq!(tight, golden, "--cache-capacity 1 changed bytes at --threads {threads}");
     }
 }
 
@@ -124,7 +130,8 @@ const SWEEP_GOLDEN: &str = concat!(
 /// The sweep corpus (wire-reachable `budgets` lines: duplicates, a
 /// relabeled twin, mixed plain traffic, and a budgeted sweep that must
 /// bypass the chained path) matches its committed golden byte for byte
-/// at every thread count, with the reuse cache off and on, and across
+/// at every thread count, with the reuse cache off and on (at a roomy
+/// capacity and at capacity 1, where every store evicts), and across
 /// a `--cache-save` → `--cache-load` restart. One golden serves every
 /// mode: caches change cost, never bytes. Regenerate with the
 /// corpus-smoke command above, swapping in the corpus_sweep paths.
@@ -158,6 +165,10 @@ fn sweep_batch_matches_golden_across_cache_modes_and_restarts() {
         assert_eq!(plain, golden, "plain sweep bytes diverged at --threads {threads}");
         let (cached, _) = run(&["--threads", threads, "--reuse-cache", "--cache-capacity", "8"]);
         assert_eq!(cached, golden, "--reuse-cache changed sweep bytes at --threads {threads}");
+        // capacity 1: every new store evicts, and each tier (and the
+        // prep cache) holds at most one entry
+        let (tight, _) = run(&["--threads", threads, "--reuse-cache", "--cache-capacity", "1"]);
+        assert_eq!(tight, golden, "--cache-capacity 1 changed sweep bytes at --threads {threads}");
     }
     // restart: spill the solution tier, then serve from the loaded file
     let (saved, save_err) = run(&["--threads", "1", "--cache-save", spill]);

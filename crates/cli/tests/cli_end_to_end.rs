@@ -20,15 +20,19 @@ fn gen_instance(dir: &std::path::Path, kind: &str, nodes: usize) -> std::path::P
     path
 }
 
-fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rtt-cli-test-{}", std::process::id()));
+/// A scratch directory private to one test: the tests of this file run
+/// in parallel and `gen_instance` writes fixed `{kind}.json` names, so
+/// a directory shared between tests would let one test read another's
+/// half-written instance.
+fn tempdir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rtt-cli-test-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn gen_produces_parseable_instances() {
-    let dir = tempdir();
+    let dir = tempdir("gen_produces_parseable_instances");
     for kind in ["race", "layered", "sp", "chain"] {
         let path = gen_instance(&dir, kind, 6);
         let text = std::fs::read_to_string(&path).unwrap();
@@ -41,7 +45,7 @@ fn gen_produces_parseable_instances() {
 fn race_mm_flows_end_to_end() {
     // the paper's loop through the real binary: generate the Figure 3
     // racy Parallel-MM, then solve and sweep it like any instance
-    let dir = tempdir();
+    let dir = tempdir("race_mm_flows_end_to_end");
     let out = rtt()
         .args(["gen", "--kind", "race-mm", "--n", "8"])
         .output()
@@ -101,7 +105,7 @@ fn race_forkjoin_gen_is_deterministic_across_runs() {
 
 #[test]
 fn info_reports_basics() {
-    let dir = tempdir();
+    let dir = tempdir("info_reports_basics");
     let path = gen_instance(&dir, "race", 6);
     let out = rtt().args(["info", path.to_str().unwrap()]).output().unwrap();
     assert!(out.status.success());
@@ -112,7 +116,7 @@ fn info_reports_basics() {
 
 #[test]
 fn solve_exact_with_plan() {
-    let dir = tempdir();
+    let dir = tempdir("solve_exact_with_plan");
     let path = gen_instance(&dir, "race", 5);
     let out = rtt()
         .args([
@@ -128,7 +132,7 @@ fn solve_exact_with_plan() {
 
 #[test]
 fn solve_bicriteria_reports_lp_bound() {
-    let dir = tempdir();
+    let dir = tempdir("solve_bicriteria_reports_lp_bound");
     let path = gen_instance(&dir, "race", 6);
     let out = rtt()
         .args(["solve", path.to_str().unwrap(), "--budget", "8"])
@@ -158,7 +162,7 @@ fn regime_solvers_print_the_simulation_certificate() {
     // since PR 5 the regime baselines certify too: `rtt solve` surfaces
     // the Observation 1.1 line for them, budget 0 (the curve anchor)
     // included
-    let dir = tempdir();
+    let dir = tempdir("regime_solvers_print_the_simulation_certificate");
     let path = gen_instance(&dir, "race", 5);
     for solver in ["noreuse-exact", "noreuse-bicriteria", "global-greedy"] {
         for budget in ["0", "4"] {
@@ -177,7 +181,7 @@ fn regime_solvers_print_the_simulation_certificate() {
 
 #[test]
 fn sp_solver_on_sp_instance() {
-    let dir = tempdir();
+    let dir = tempdir("sp_solver_on_sp_instance");
     let path = gen_instance(&dir, "sp", 6);
     let out = rtt()
         .args([
@@ -190,7 +194,7 @@ fn sp_solver_on_sp_instance() {
 
 #[test]
 fn min_resource_round_trip() {
-    let dir = tempdir();
+    let dir = tempdir("min_resource_round_trip");
     let path = gen_instance(&dir, "race", 5);
     // target = base makespan is always reachable with 0 units
     let info = rtt().args(["info", path.to_str().unwrap()]).output().unwrap();
@@ -213,7 +217,7 @@ fn min_resource_round_trip() {
 
 #[test]
 fn regimes_prints_all_three() {
-    let dir = tempdir();
+    let dir = tempdir("regimes_prints_all_three");
     let path = gen_instance(&dir, "race", 5);
     let out = rtt()
         .args(["regimes", path.to_str().unwrap(), "--budget", "4"])
@@ -228,7 +232,7 @@ fn regimes_prints_all_three() {
 
 #[test]
 fn dot_is_well_formed() {
-    let dir = tempdir();
+    let dir = tempdir("dot_is_well_formed");
     let path = gen_instance(&dir, "chain", 4);
     let out = rtt().args(["dot", path.to_str().unwrap()]).output().unwrap();
     assert!(out.status.success());

@@ -64,6 +64,7 @@ pub mod budget;
 pub mod certify;
 pub mod curve;
 pub mod executor;
+mod lru;
 pub mod persist;
 pub mod prep;
 pub mod registry;

@@ -11,11 +11,11 @@
 //! batch that asks five solvers three budgets each about one instance
 //! performs one expansion and one decomposition, not fifteen.
 
+use crate::lru::Lru;
 use rtt_core::transform::expand_two_tuples;
 use rtt_core::{ArcInstance, CanonicalForm, TwoTupleInstance};
 use rtt_dag::sp::{decompose, SpTree};
 use rtt_dag::NodeId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -215,33 +215,6 @@ impl CacheStats {
     }
 }
 
-/// The map behind [`PrepCache`]: entries stamped with a logical access
-/// tick, so eviction can pick the least-recently-used entry without any
-/// wall-clock dependence.
-#[derive(Debug, Default)]
-struct LruEntries {
-    map: HashMap<String, (Arc<PreparedInstance>, u64)>,
-    tick: u64,
-}
-
-impl LruEntries {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Key of the eviction victim: smallest `(last_access, key)`. The
-    /// key tiebreak makes eviction **deterministic** even if two
-    /// entries ever carry the same stamp.
-    fn victim(&self) -> Option<String> {
-        self.map
-            .iter()
-            .map(|(k, (_, last))| (*last, k))
-            .min()
-            .map(|(_, k)| k.clone())
-    }
-}
-
 /// Deduplicates [`PreparedInstance`]s by a caller-chosen key —
 /// typically the canonical serialization of the instance itself. The
 /// full key is stored and compared (not a hash of it), so distinct
@@ -252,19 +225,21 @@ impl LruEntries {
 ///
 /// # Capacity and eviction
 ///
-/// [`PrepCache::with_capacity`] bounds the number of resident entries;
-/// inserting past the bound evicts the least-recently-used entry
-/// (ties broken by key, so eviction order is deterministic for a
-/// deterministic access sequence). Eviction snapshots the victim's
-/// artifact counters into the cache-wide totals first, so
-/// [`PrepCache::stats`] never goes backwards. Like every cache in this
-/// workspace, eviction changes **cost, never bytes**: a re-requested
-/// evicted instance is simply prepared again.
+/// [`PrepCache::with_capacity`] bounds the number of resident entries
+/// ([`PrepCache::new`] is unbounded); inserting past the bound evicts
+/// the least-recently-used entry. The cache sits on the same LRU type
+/// as both [`crate::ReuseCache`] tiers: every access stamps its entry
+/// from a logical tick, stamps are unique within the cache, and the
+/// victim is the entry with the least stamp — so eviction order is
+/// deterministic for a deterministic access sequence, and each
+/// eviction is O(log n) in the resident count rather than a scan.
+/// Eviction snapshots the victim's artifact counters into the
+/// cache-wide totals, so [`PrepCache::stats`] never goes backwards.
+/// Like every cache in this workspace, eviction changes **cost, never
+/// bytes**: a re-requested evicted instance is simply prepared again.
 #[derive(Debug, Default)]
 pub struct PrepCache {
-    entries: Mutex<LruEntries>,
-    /// Max resident entries; `None` is unbounded.
-    capacity: Option<usize>,
+    entries: Mutex<Lru<Arc<PreparedInstance>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evicted: AtomicU64,
@@ -283,9 +258,15 @@ impl PrepCache {
     /// (`0` is treated as 1 — a cache that can hold nothing would turn
     /// every request into a miss while still paying the lock).
     pub fn with_capacity(capacity: usize) -> Self {
+        // field by field: `..Self::default()` would build and drop a
+        // second map on every construction
         PrepCache {
-            capacity: Some(capacity.max(1)),
-            ..Self::default()
+            entries: Mutex::new(Lru::new(capacity)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
+            dead_reuses: AtomicU64::new(0),
+            dead_computes: AtomicU64::new(0),
         }
     }
 
@@ -294,12 +275,12 @@ impl PrepCache {
     /// counted — pair with [`PrepCache::get_or_insert`], which records
     /// the miss).
     pub fn get(&self, key: &str) -> Option<Arc<PreparedInstance>> {
-        let mut entries = self.entries.lock().expect("prep cache poisoned");
-        let tick = entries.touch();
-        let hit = entries.map.get_mut(key).map(|(prep, last)| {
-            *last = tick;
-            Arc::clone(prep)
-        });
+        let hit = self
+            .entries
+            .lock()
+            .expect("prep cache poisoned")
+            .get_refreshed(key)
+            .map(Arc::clone);
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -315,32 +296,28 @@ impl PrepCache {
         build: impl FnOnce() -> ArcInstance,
     ) -> Arc<PreparedInstance> {
         let mut entries = self.entries.lock().expect("prep cache poisoned");
-        let tick = entries.touch();
-        if let Some((hit, last)) = entries.map.get_mut(key) {
-            *last = tick;
+        if let Some(hit) = entries.get_refreshed(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(cap) = self.capacity {
-            while entries.map.len() >= cap {
-                let victim = entries.victim().expect("cap >= 1, map non-empty");
-                if let Some((dead, _)) = entries.map.remove(&victim) {
-                    let (r, c) = dead.prep_counters();
-                    self.dead_reuses.fetch_add(r, Ordering::Relaxed);
-                    self.dead_computes.fetch_add(c, Ordering::Relaxed);
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         let prep = Arc::new(PreparedInstance::new(build()));
-        entries.map.insert(key.to_string(), (Arc::clone(&prep), tick));
+        let evicted = entries.insert(key, Arc::clone(&prep));
+        // snapshot under the lock, so `stats` never sees a victim in
+        // neither place; the victims themselves are dropped after it
+        for (_, dead) in &evicted {
+            let (r, c) = dead.prep_counters();
+            self.dead_reuses.fetch_add(r, Ordering::Relaxed);
+            self.dead_computes.fetch_add(c, Ordering::Relaxed);
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(entries);
         prep
     }
 
     /// Number of distinct instances currently cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("prep cache poisoned").map.len()
+        self.entries.lock().expect("prep cache poisoned").len()
     }
 
     /// Whether the cache is empty.
@@ -354,7 +331,7 @@ impl PrepCache {
     pub fn stats(&self) -> CacheStats {
         let mut reuses = self.dead_reuses.load(Ordering::Relaxed);
         let mut computes = self.dead_computes.load(Ordering::Relaxed);
-        for (prep, _) in self.entries.lock().expect("prep cache poisoned").map.values() {
+        for (_, prep) in self.entries.lock().expect("prep cache poisoned").iter() {
             let (r, c) = prep.prep_counters();
             reuses += r;
             computes += c;

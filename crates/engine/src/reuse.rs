@@ -56,11 +56,22 @@
 //!   request line (see [`crate::curve`]), and get their cross-request
 //!   reuse from the solution tier above.
 //!
-//! Eviction (deterministic LRU: least `(stamp, key)` first) and
-//! concurrent access order can change which tier entries are resident —
-//! that too only moves work between "replayed" and "recomputed", with
-//! byte-identical output either way, because every replay source is a
-//! deterministic function of request content.
+//! Eviction and concurrent access order can change which tier entries
+//! are resident — that too only moves work between "replayed" and
+//! "recomputed", with byte-identical output either way, because every
+//! replay source is a deterministic function of request content.
+//!
+//! # Eviction
+//!
+//! Both tiers (and [`crate::PrepCache`]) sit on the crate's one LRU
+//! type. Every access stamps its entry from a per-tier logical tick, so
+//! stamps are unique within a tier and the victim is simply the entry
+//! with the **least stamp** — a pure function of the access sequence,
+//! never of wall time or hash order. A stamp-ordered index makes each
+//! eviction O(log n) in the tier size, so a store past capacity costs
+//! the same at 1 entry as at 1024 and never copies resident keys under
+//! the tier's mutex. Evicted entries are dropped after the mutex is
+//! released.
 //!
 //! # Collision discipline
 //!
@@ -72,11 +83,11 @@
 //! to the key comparison plus serve-time re-verification). A hash
 //! collision anywhere costs a recomputation, never a wrong answer.
 
+use crate::lru::Lru;
 use crate::prep::{LpWarmState, PreparedInstance};
 use crate::request::{Objective, SolveReport, SolveRequest, Status};
 use rtt_core::lp_build::LpError;
 use rtt_core::Resource;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -104,66 +115,6 @@ pub struct ReuseStats {
     /// the original `work` — bytes are identical; this counter is what
     /// the cache actually saved.)
     pub pivots_saved: u64,
-}
-
-/// A deterministic LRU map: entries stamped with a logical tick,
-/// victim = least `(stamp, key)`.
-#[derive(Debug)]
-struct Lru<V> {
-    map: HashMap<String, (V, u64)>,
-    tick: u64,
-    cap: usize,
-}
-
-impl<V> Lru<V> {
-    fn new(cap: usize) -> Self {
-        Lru {
-            map: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn get_refreshed(&mut self, key: &str) -> Option<&V> {
-        let tick = self.touch();
-        self.map.get_mut(key).map(|(v, last)| {
-            *last = tick;
-            &*v
-        })
-    }
-
-    fn remove(&mut self, key: &str) -> Option<V> {
-        self.map.remove(key).map(|(v, _)| v)
-    }
-
-    /// Inserts, evicting least-recently-used entries past capacity.
-    /// Returns how many were evicted.
-    fn insert(&mut self, key: String, value: V) -> u64 {
-        let tick = self.touch();
-        if let Some(slot) = self.map.get_mut(&key) {
-            *slot = (value, tick);
-            return 0;
-        }
-        let mut evicted = 0;
-        while self.map.len() >= self.cap {
-            let victim = self
-                .map
-                .iter()
-                .map(|(k, (_, last))| (*last, k.clone()))
-                .min()
-                .expect("cap >= 1, map non-empty")
-                .1;
-            self.map.remove(&victim);
-            evicted += 1;
-        }
-        self.map.insert(key, (value, tick));
-        evicted
-    }
 }
 
 /// A solution-tier entry: the report vector (one report for a single
@@ -293,12 +244,15 @@ impl ReuseCache {
             reports: reports.to_vec(),
             donor: Some(Arc::clone(&req.prepared)),
         });
+        // the guard is a temporary of this statement: evicted entries
+        // are dropped only after the tier lock is released
         let evicted = self
             .solutions
             .lock()
             .expect("solution tier poisoned")
-            .insert(key, entry);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            .insert(&key, entry);
+        self.evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
     }
 
     /// Installs a report vector loaded from a `rtt-cache-v1` spill
@@ -317,8 +271,9 @@ impl ReuseCache {
             .solutions
             .lock()
             .expect("solution tier poisoned")
-            .insert(key, entry);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            .insert(&key, entry);
+        self.evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
     }
 
     /// Every solution-tier entry as `(key, reports)`, sorted by key —
@@ -326,9 +281,8 @@ impl ReuseCache {
     pub fn export_solutions(&self) -> Vec<(String, Vec<SolveReport>)> {
         let tier = self.solutions.lock().expect("solution tier poisoned");
         let mut out: Vec<(String, Vec<SolveReport>)> = tier
-            .map
             .iter()
-            .map(|(k, (v, _))| (k.clone(), v.reports.clone()))
+            .map(|(k, v)| (k.to_string(), v.reports.clone()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -362,8 +316,9 @@ impl ReuseCache {
             .warm
             .lock()
             .expect("warm tier poisoned")
-            .insert(shape_key, entry);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            .insert(&shape_key, entry);
+        self.evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
     }
 
     /// Records one delta solve (a solve seeded from a reused basis
@@ -528,10 +483,10 @@ mod tests {
                 reports: vec![SolveReport::new("x", "bicriteria", Status::Solved, "")],
                 donor: Some(Arc::new(PreparedInstance::new(diamond(9)))),
             });
-            tier.insert(format!("k{i}"), dummy);
+            tier.insert(&format!("k{i}"), dummy);
         }
-        assert_eq!(tier.map.len(), 2);
-        let mut left: Vec<_> = tier.map.keys().cloned().collect();
+        assert_eq!(tier.len(), 2);
+        let mut left: Vec<_> = tier.iter().map(|(k, _)| k.to_string()).collect();
         left.sort();
         assert_eq!(left, vec!["k2", "k3"], "LRU evicts oldest first");
     }

@@ -190,3 +190,37 @@ fn wrong_fingerprint_tag_is_rejected_with_zero_entries() {
         matches!(e, PersistError::Fingerprint { found } if found == "rtt-fp-v0")
     });
 }
+
+/// A spill holding more entries than the loading cache's capacity: the
+/// loader installs entries in file order (sorted by key), so the
+/// residents are the last `capacity` keys of the file and every earlier
+/// entry is counted as one eviction — the same outcome on every load.
+#[test]
+fn over_capacity_load_keeps_the_last_keys_and_counts_evictions() {
+    let registry = Registry::standard();
+    let warm = ReuseCache::new(64);
+    for (kind, seed) in [(0, 7), (1, 11), (2, 13)] {
+        let out = run_batch_cached(&registry, corpus(kind, 0, seed, 4), 1, Some(&warm));
+        assert!(out.reports.iter().all(|r| r.status == Status::Solved));
+    }
+    let path = tmp_path("over-capacity");
+    let saved = persist::save(&warm, &path).expect("spill saves");
+    let keys: Vec<String> = warm.export_solutions().into_iter().map(|(k, _)| k).collect();
+    assert_eq!(keys.len(), saved);
+    assert!(saved >= 4, "three instances spill at least two entries each");
+    for capacity in [1usize, 2, 3] {
+        let load = || {
+            let cache = ReuseCache::new(capacity);
+            let loaded = persist::load(&cache, &path, &registry).expect("spill loads");
+            assert_eq!(loaded, saved, "every entry is parsed and installed");
+            let residents: Vec<String> =
+                cache.export_solutions().into_iter().map(|(k, _)| k).collect();
+            (residents, cache.stats().evictions)
+        };
+        let (residents, evictions) = load();
+        assert_eq!(residents, keys[saved - capacity..], "capacity {capacity}");
+        assert_eq!(evictions, (saved - capacity) as u64, "capacity {capacity}");
+        assert_eq!(load(), (residents, evictions), "a second load is identical");
+    }
+    std::fs::remove_file(&path).ok();
+}
